@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test test-parallel test-chaos test-distributed test-elastic verify bench bench-smoke bench-scaling bench-hotpath bench-hotpath-smoke bench-check bench-throughput bench-throughput-smoke bench-check-throughput soak-smoke profile-parent figures report examples clean
+.PHONY: install test test-parallel test-chaos test-distributed test-elastic verify bench bench-smoke bench-scaling bench-hotpath bench-hotpath-smoke bench-check bench-throughput bench-throughput-smoke bench-check-throughput soak-smoke profile-parent profile-imports figures report examples clean
 
 install:
 	pip install -e . --no-build-isolation
@@ -96,6 +96,14 @@ soak-smoke:
 # e.g. `make profile-parent PROFILE_ARGS='--backend socket --top 40'`.
 profile-parent:
 	PYTHONPATH=src $(PYTHON) scripts/profile_parent.py $(PROFILE_ARGS)
+
+# Cold start of a fresh interpreter, which every socket worker spawn
+# pays: top `-X importtime` entries and peak RSS for `import
+# repro.worker` and `import repro`, then the median time from starting
+# a worker to its LISTEN banner.  Override with e.g.
+# `make profile-imports PROFILE_ARGS='--top 30 --spawns 15'`.
+profile-imports:
+	PYTHONPATH=src $(PYTHON) scripts/profile_imports.py $(PROFILE_ARGS)
 
 # Instrumented smoke run: exercises the observability layer end to end
 # and persists the metric snapshot for the report tooling.

@@ -23,53 +23,75 @@ Quickstart::
     pairs = join_window(FPTreeJoiner(), docs)
 """
 
-from repro.core.document import AVPair, Document
-from repro.core.interning import EncodedDocument, PairInterner
-from repro.core.window import CountWindow, TimeWindow
-from repro.exceptions import (
-    DocumentError,
-    JoinConflictError,
-    PartitioningError,
-    ReproError,
-    TopologyError,
-    WindowError,
-    WorkerCrashError,
+from repro._lazy import lazy_exports
+
+# Names resolve on first read (PEP 562), so ``import repro`` — and every
+# ``python -m repro.worker`` start, which imports this package first —
+# loads no submodule it does not use.
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.core.document": ("AVPair", "Document"),
+        "repro.core.interning": ("EncodedDocument", "PairInterner"),
+        "repro.core.window": ("CountWindow", "TimeWindow"),
+        "repro.exceptions": (
+            "DocumentError",
+            "JoinConflictError",
+            "PartitioningError",
+            "ReproError",
+            "TopologyError",
+            "WindowError",
+            "WorkerCrashError",
+        ),
+        "repro.faults": ("FaultPlan", "InjectedFault"),
+        "repro.join.base": ("JoinPair", "LocalJoiner", "join_window"),
+        "repro.join.fptree": ("FPTree",),
+        "repro.join.fptree_join": ("FPTreeJoiner", "fptree_join"),
+        "repro.join.hash_join": ("HashJoiner",),
+        "repro.join.nested_loop": ("NestedLoopJoiner",),
+        "repro.join.ordering": ("AttributeOrder",),
+        "repro.join.binary": (
+            "BinaryJoinPair",
+            "BinaryStreamJoiner",
+            "binary_join_window",
+        ),
+        "repro.join.sliding": ("SlidingFPTreeJoiner", "TimeSlidingFPTreeJoiner"),
+        "repro.partitioning.association": ("AssociationGroupPartitioner",),
+        "repro.partitioning.base": (
+            "Partition",
+            "Partitioner",
+            "PartitioningResult",
+        ),
+        "repro.partitioning.disjoint": ("DisjointSetPartitioner",),
+        "repro.partitioning.expansion": ("ExpansionPlan", "plan_expansion"),
+        "repro.partitioning.graph": ("KernighanLinPartitioner",),
+        "repro.partitioning.hashing": ("HashPartitioner",),
+        "repro.obs": (
+            "MetricsRegistry",
+            "NullRegistry",
+            "ObservabilitySnapshot",
+            "Span",
+            "trace",
+        ),
+        "repro.partitioning.joinmatrix": ("JoinMatrixRouter",),
+        "repro.partitioning.router": ("DocumentRouter", "RoutingDecision"),
+        "repro.partitioning.setcover": ("SetCoverPartitioner",),
+        "repro.streaming.recovery": (
+            "DeadLetter",
+            "DeadLetterQueue",
+            "RestartPolicy",
+        ),
+        "repro.topology.pipeline": (
+            "PARTITIONERS",
+            "StreamJoinConfig",
+            "StreamJoinResult",
+            "run",
+            "run_binary_stream_join",
+            "run_stream_join",
+        ),
+        "repro.topology.session": ("StreamJoinSession",),
+    },
 )
-from repro.faults import FaultPlan, InjectedFault
-from repro.join.base import JoinPair, LocalJoiner, join_window
-from repro.join.fptree import FPTree
-from repro.join.fptree_join import FPTreeJoiner, fptree_join
-from repro.join.hash_join import HashJoiner
-from repro.join.nested_loop import NestedLoopJoiner
-from repro.join.ordering import AttributeOrder
-from repro.join.binary import BinaryJoinPair, BinaryStreamJoiner, binary_join_window
-from repro.join.sliding import SlidingFPTreeJoiner, TimeSlidingFPTreeJoiner
-from repro.partitioning.association import AssociationGroupPartitioner
-from repro.partitioning.base import Partition, Partitioner, PartitioningResult
-from repro.partitioning.disjoint import DisjointSetPartitioner
-from repro.partitioning.expansion import ExpansionPlan, plan_expansion
-from repro.partitioning.graph import KernighanLinPartitioner
-from repro.partitioning.hashing import HashPartitioner
-from repro.obs import (
-    MetricsRegistry,
-    NullRegistry,
-    ObservabilitySnapshot,
-    Span,
-    trace,
-)
-from repro.partitioning.joinmatrix import JoinMatrixRouter
-from repro.partitioning.router import DocumentRouter, RoutingDecision
-from repro.partitioning.setcover import SetCoverPartitioner
-from repro.streaming.recovery import DeadLetter, DeadLetterQueue, RestartPolicy
-from repro.topology.pipeline import (
-    PARTITIONERS,
-    StreamJoinConfig,
-    StreamJoinResult,
-    run,
-    run_binary_stream_join,
-    run_stream_join,
-)
-from repro.topology.session import StreamJoinSession
 
 __version__ = "1.0.0"
 

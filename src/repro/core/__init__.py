@@ -1,9 +1,16 @@
 """Core data model: schema-free documents, interning, window definitions."""
 
-from repro.core.columnar import ColumnarBatch
-from repro.core.document import AVPair, Document, flatten_json
-from repro.core.interning import EncodedDocument, PairInterner
-from repro.core.window import CountWindow, TimeWindow, tumbling_count_windows
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.core.columnar": ("ColumnarBatch",),
+        "repro.core.document": ("AVPair", "Document", "flatten_json"),
+        "repro.core.interning": ("EncodedDocument", "PairInterner"),
+        "repro.core.window": ("CountWindow", "TimeWindow", "tumbling_count_windows"),
+    },
+)
 
 __all__ = [
     "AVPair",

@@ -77,21 +77,30 @@ def _flatten_into(node: Any, prefix: str, out: dict[str, Value], depth: int) -> 
         raise DocumentError(
             f"nesting deeper than {MAX_NESTING_DEPTH} levels at {prefix!r}"
         )
-    if isinstance(node, Mapping):
-        for key, value in node.items():
-            if not isinstance(key, str):
-                raise DocumentError(f"attribute names must be strings, got {key!r}")
-            path = f"{prefix}.{key}" if prefix else key
-            _flatten_into(value, path, out, depth + 1)
+    # Parsed JSON holds only dicts, lists and scalars, so those are tested
+    # first: ``isinstance(x, typing.Mapping)`` goes through the ABC
+    # machinery and, tested first, cost every leaf more than the rest of
+    # the flattening.  Other mappings take the last branch.
+    if isinstance(node, dict):
+        items = node.items()
     elif isinstance(node, (list, tuple)):
         for index, value in enumerate(node):
             _flatten_into(value, f"{prefix}[{index}]", out, depth + 1)
-    else:
-        if not isinstance(node, (str, int, float, bool)) and node is not None:
-            raise DocumentError(f"unsupported JSON value {node!r} at {prefix!r}")
+        return
+    elif node is None or isinstance(node, (str, int, float, bool)):
         if prefix in out:
             raise DocumentError(f"duplicate attribute {prefix!r} after flattening")
         out[prefix] = node
+        return
+    elif isinstance(node, Mapping):
+        items = node.items()
+    else:
+        raise DocumentError(f"unsupported JSON value {node!r} at {prefix!r}")
+    for key, value in items:
+        if not isinstance(key, str):
+            raise DocumentError(f"attribute names must be strings, got {key!r}")
+        path = f"{prefix}.{key}" if prefix else key
+        _flatten_into(value, path, out, depth + 1)
 
 
 class Document:
@@ -121,7 +130,8 @@ class Document:
         pairs: Union[Mapping[str, Value], Iterable[tuple[str, Value]]],
         doc_id: Optional[int] = None,
     ):
-        if isinstance(pairs, Mapping):
+        # ``dict`` first: the common case skips typing.Mapping's slow check
+        if isinstance(pairs, dict) or isinstance(pairs, Mapping):
             items = dict(pairs)
         else:
             items = {}

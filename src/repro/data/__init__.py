@@ -1,24 +1,31 @@
 """Dataset generators and IO for the experiments of Section VII."""
 
-from repro.data.base import DatasetGenerator
-from repro.data.ideal import IdealStreamGenerator
-from repro.data.loader import read_jsonl, write_jsonl
-from repro.data.nobench import NoBenchGenerator
-from repro.data.serverlogs import ServerLogGenerator
-from repro.data.stream import (
-    TimestampedDocument,
-    arrival_rate_from_daily_volume,
-    timestamped_stream,
-    windows_by_time,
-)
-from repro.data.tweets import TweetGenerator
-from repro.data.zoo import (
-    ZOO_WORKLOADS,
-    FlashCrowdGenerator,
-    LateArrivalGenerator,
-    SchemaDriftGenerator,
-    ZipfSkewGenerator,
-    make_zoo_generator,
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.data.base": ("DatasetGenerator",),
+        "repro.data.ideal": ("IdealStreamGenerator",),
+        "repro.data.loader": ("read_jsonl", "write_jsonl"),
+        "repro.data.nobench": ("NoBenchGenerator",),
+        "repro.data.serverlogs": ("ServerLogGenerator",),
+        "repro.data.stream": (
+            "TimestampedDocument",
+            "arrival_rate_from_daily_volume",
+            "timestamped_stream",
+            "windows_by_time",
+        ),
+        "repro.data.tweets": ("TweetGenerator",),
+        "repro.data.zoo": (
+            "ZOO_WORKLOADS",
+            "FlashCrowdGenerator",
+            "LateArrivalGenerator",
+            "SchemaDriftGenerator",
+            "ZipfSkewGenerator",
+            "make_zoo_generator",
+        ),
+    },
 )
 
 __all__ = [

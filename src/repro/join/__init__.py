@@ -1,24 +1,36 @@
 """Local join computation: FP-tree join and baseline algorithms."""
 
-from repro.join.approximate import ApproximateJoiner, BloomFilter
-from repro.join.base import JoinPair, LocalJoiner, join_window
-from repro.join.cost import predict_nlj_hbj_winner, profile_and_predict
-from repro.join.binary import (
-    BinaryJoinPair,
-    BinaryStreamJoiner,
-    binary_join_window,
-)
-from repro.join.fptree import FPNode, FPTree
-from repro.join.fptree_join import FPTreeJoiner, fptree_join
-from repro.join.hash_join import HashJoiner
-from repro.join.nested_loop import NestedLoopJoiner
-from repro.join.minibatch import minibatch_join
-from repro.join.multistream import MultiStreamJoiner, StreamPair
-from repro.join.ordering import AttributeOrder
-from repro.join.sliding import (
-    SlidingFPTreeJoiner,
-    TimeSlidingFPTreeJoiner,
-    sliding_join_stream,
+from repro._lazy import lazy_exports
+
+# ``fptree_join`` is both a submodule and a function re-exported under
+# the same name: bind the function eagerly, or the first import of the
+# submodule would shadow it with the module object.
+from repro.join.fptree_join import fptree_join
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.join.approximate": ("ApproximateJoiner", "BloomFilter"),
+        "repro.join.base": ("JoinPair", "LocalJoiner", "join_window"),
+        "repro.join.cost": ("predict_nlj_hbj_winner", "profile_and_predict"),
+        "repro.join.binary": (
+            "BinaryJoinPair",
+            "BinaryStreamJoiner",
+            "binary_join_window",
+        ),
+        "repro.join.fptree": ("FPNode", "FPTree"),
+        "repro.join.fptree_join": ("FPTreeJoiner",),
+        "repro.join.hash_join": ("HashJoiner",),
+        "repro.join.nested_loop": ("NestedLoopJoiner",),
+        "repro.join.minibatch": ("minibatch_join",),
+        "repro.join.multistream": ("MultiStreamJoiner", "StreamPair"),
+        "repro.join.ordering": ("AttributeOrder",),
+        "repro.join.sliding": (
+            "SlidingFPTreeJoiner",
+            "TimeSlidingFPTreeJoiner",
+            "sliding_join_stream",
+        ),
+    },
 )
 
 __all__ = [

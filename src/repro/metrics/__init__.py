@@ -1,9 +1,20 @@
 """Performance metrics of Section VII-C: replication, Gini, max load."""
 
-from repro.metrics.gini import gini_coefficient
-from repro.metrics.load import max_processing_load, processing_loads
-from repro.metrics.replication import average_replication
-from repro.metrics.report import WindowMetrics, aggregate_metrics, format_table
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.metrics.gini": ("gini_coefficient",),
+        "repro.metrics.load": ("max_processing_load", "processing_loads"),
+        "repro.metrics.replication": ("average_replication",),
+        "repro.metrics.report": (
+            "WindowMetrics",
+            "aggregate_metrics",
+            "format_table",
+        ),
+    },
+)
 
 __all__ = [
     "WindowMetrics",

@@ -1,26 +1,33 @@
 """Partitioning algorithms: AG (the paper's contribution), SC, DS, hashing."""
 
-from repro.partitioning.association import (
-    AssociationGroup,
-    AssociationGroupPartitioner,
-    EquivalenceGroup,
-    build_association_groups,
-    consolidate_association_groups,
-    find_equivalence_groups,
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.partitioning.association": (
+            "AssociationGroup",
+            "AssociationGroupPartitioner",
+            "EquivalenceGroup",
+            "build_association_groups",
+            "consolidate_association_groups",
+            "find_equivalence_groups",
+        ),
+        "repro.partitioning.base": (
+            "Partition",
+            "Partitioner",
+            "PartitioningResult",
+            "assign_groups_to_partitions",
+        ),
+        "repro.partitioning.disjoint": ("DisjointSetPartitioner",),
+        "repro.partitioning.expansion": ("ExpansionPlan", "plan_expansion"),
+        "repro.partitioning.graph": ("KernighanLinPartitioner",),
+        "repro.partitioning.joinmatrix": ("JoinMatrixRouter",),
+        "repro.partitioning.hashing": ("HashPartitioner",),
+        "repro.partitioning.router": ("DocumentRouter", "RoutingDecision"),
+        "repro.partitioning.setcover": ("SetCoverPartitioner",),
+    },
 )
-from repro.partitioning.base import (
-    Partition,
-    Partitioner,
-    PartitioningResult,
-    assign_groups_to_partitions,
-)
-from repro.partitioning.disjoint import DisjointSetPartitioner
-from repro.partitioning.expansion import ExpansionPlan, plan_expansion
-from repro.partitioning.graph import KernighanLinPartitioner
-from repro.partitioning.joinmatrix import JoinMatrixRouter
-from repro.partitioning.hashing import HashPartitioner
-from repro.partitioning.router import DocumentRouter, RoutingDecision
-from repro.partitioning.setcover import SetCoverPartitioner
 
 __all__ = [
     "AssociationGroup",

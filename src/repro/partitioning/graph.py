@@ -18,10 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Sequence
-
-import networkx as nx
-from networkx.algorithms.community import kernighan_lin_bisection
+from typing import TYPE_CHECKING, Sequence
 
 from repro.core.document import AVPair, Document
 from repro.partitioning.base import (
@@ -29,6 +26,23 @@ from repro.partitioning.base import (
     PartitioningResult,
     assign_groups_to_partitions,
 )
+
+if TYPE_CHECKING:
+    import networkx as nx
+
+
+def _networkx():
+    """networkx, imported on first use: only this baseline needs it, and
+    it takes longer to import than the rest of the package together."""
+    try:
+        import networkx
+        from networkx.algorithms.community import kernighan_lin_bisection
+    except ImportError as exc:
+        raise ImportError(
+            "KernighanLinPartitioner needs networkx; install the 'graph' "
+            "extra: pip install 'repro[graph]'"
+        ) from exc
+    return networkx, kernighan_lin_bisection
 
 
 @dataclass
@@ -55,7 +69,8 @@ class KernighanLinPartitioner(Partitioner):
         self, documents: Sequence[Document], m: int
     ) -> PartitioningResult:
         self._check_args(documents, m)
-        graph = self._build_graph(documents)
+        networkx, kernighan_lin_bisection = _networkx()
+        graph = self._build_graph(networkx, documents)
         parts: list[set[AVPair]] = [set(graph.nodes)] if graph.nodes else []
         # Recursively bisect the largest part until m parts (or nothing
         # left to split).  Connected components could be split first, but
@@ -80,8 +95,8 @@ class KernighanLinPartitioner(Partitioner):
             partitions=partitions, algorithm=self.name, group_count=len(groups)
         )
 
-    def _build_graph(self, documents: Sequence[Document]) -> "nx.Graph":
-        graph = nx.Graph()
+    def _build_graph(self, networkx, documents: Sequence[Document]) -> nx.Graph:
+        graph = networkx.Graph()
         for doc in documents:
             pairs = list(doc.avpairs())
             graph.add_nodes_from(pairs)

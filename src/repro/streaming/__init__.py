@@ -12,28 +12,44 @@ delivery) makes every experiment replayable — the routing semantics are
 Storm's, without the cluster.
 """
 
-from repro.streaming.component import Bolt, Collector, ComponentContext, Spout
-from repro.streaming.grouping import (
-    AllGrouping,
-    DirectGrouping,
-    FieldsGrouping,
-    GlobalGrouping,
-    Grouping,
-    ShuffleGrouping,
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.streaming.component": (
+            "Bolt",
+            "Collector",
+            "ComponentContext",
+            "Spout",
+        ),
+        "repro.streaming.grouping": (
+            "AllGrouping",
+            "DirectGrouping",
+            "FieldsGrouping",
+            "GlobalGrouping",
+            "Grouping",
+            "ShuffleGrouping",
+        ),
+        "repro.streaming.executor": ("ClusterBase", "LocalCluster"),
+        "repro.streaming.parallel": ("ParallelCluster",),
+        "repro.streaming.recovery": (
+            "DeadLetter",
+            "DeadLetterQueue",
+            "RestartPolicy",
+        ),
+        "repro.streaming.topology": ("Topology", "TopologyBuilder"),
+        "repro.streaming.transport": (
+            "LinkDown",
+            "Transport",
+            "WorkerInit",
+            "WorkerLink",
+            "available_transports",
+            "make_transport",
+        ),
+        "repro.streaming.tuples": ("StreamTuple",),
+    },
 )
-from repro.streaming.executor import ClusterBase, LocalCluster
-from repro.streaming.parallel import ParallelCluster
-from repro.streaming.recovery import DeadLetter, DeadLetterQueue, RestartPolicy
-from repro.streaming.topology import Topology, TopologyBuilder
-from repro.streaming.transport import (
-    LinkDown,
-    Transport,
-    WorkerInit,
-    WorkerLink,
-    available_transports,
-    make_transport,
-)
-from repro.streaming.tuples import StreamTuple
 
 __all__ = [
     "AllGrouping",

@@ -132,6 +132,11 @@ from repro.streaming.transport import (
 from repro.streaming.transport.framing import BufferFrame, parse_address
 from repro.streaming.tuples import StreamTuple
 
+# Import the built-in transports with the cluster, so that building a
+# session (validating its transport name, making the transport) imports
+# nothing; importing them registers them.
+from repro.streaming.transport import pipe, tcp  # noqa: F401
+
 #: default number of tuples per shipped batch; deep batches amortize
 #: per-frame encode/send/ack costs — the flush barrier still bounds a
 #: window's tail, and ``linger_s`` bounds trickle latency
@@ -459,7 +464,13 @@ class ParallelCluster(ClusterBase):
     # ------------------------------------------------------------------
     def _spawn(self, handle: _WorkerHandle) -> None:
         """Start one worker for ``handle`` over a fresh link."""
-        init = WorkerInit(
+        handle.link = self._transport.spawn(self._worker_init(handle))
+        handle.said_bye = False
+        handle.snapshot = None
+
+    def _worker_init(self, handle: _WorkerHandle) -> WorkerInit:
+        """The bootstrap blob a new worker for ``handle`` starts from."""
+        return WorkerInit(
             worker_index=handle.index,
             incarnation=handle.incarnation,
             tasks={key: self._tasks[key[0]][key[1]] for key in handle.assigned},
@@ -470,9 +481,6 @@ class ParallelCluster(ClusterBase):
             quarantine=self.dead_letters is not None,
             fault_plan=self._fault_plan,
         )
-        handle.link = self._transport.spawn(init)
-        handle.said_bye = False
-        handle.snapshot = None
 
     def _ensure_started(self) -> None:
         if self._started or not self._workers:

@@ -9,22 +9,31 @@ implementations ship: ``"pipe"`` (fork + duplex pipe) and ``"socket"``
 processes).  See ``docs/distributed.md`` for the contract.
 """
 
-from repro.streaming.transport.base import (
-    IDENTITY_CODEC,
-    LinkDown,
-    Transport,
-    TRANSPORTS,
-    WorkerInit,
-    WorkerLink,
-    available_transports,
-    make_transport,
-    register_transport,
-)
-from repro.streaming.transport.session import WorkerCollector, WorkerSession
+from repro._lazy import lazy_exports
 
-# importing the implementations registers them under their names
-from repro.streaming.transport.pipe import PipeTransport  # noqa: E402
-from repro.streaming.transport.tcp import SocketTransport  # noqa: E402
+# A socket worker imports this package for framing and the session; the
+# pipe implementation (and multiprocessing.shared_memory with it) loads
+# only where it is used.  ``make_transport`` imports the implementations,
+# which registers them under their names.
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.streaming.transport.base": (
+            "IDENTITY_CODEC",
+            "LinkDown",
+            "Transport",
+            "TRANSPORTS",
+            "WorkerInit",
+            "WorkerLink",
+            "available_transports",
+            "make_transport",
+            "register_transport",
+        ),
+        "repro.streaming.transport.session": ("WorkerCollector", "WorkerSession"),
+        "repro.streaming.transport.pipe": ("PipeTransport",),
+        "repro.streaming.transport.tcp": ("SocketTransport",),
+    },
+)
 
 __all__ = [
     "IDENTITY_CODEC",

@@ -31,6 +31,7 @@ frames over TCP to ``python -m repro.worker`` processes).
 
 from __future__ import annotations
 
+import importlib
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from typing import Any, Optional, Sequence
@@ -188,7 +189,23 @@ class Transport(ABC):
 
 
 #: registered implementations, name → factory(addresses=None) -> Transport
+#: (the built-ins are in it once their modules, or a lookup, imported them)
 TRANSPORTS: dict[str, Any] = {}
+
+#: modules of the built-in implementations; each registers itself when
+#: imported, which happens at the first lookup through
+#: :func:`available_transports` or :func:`make_transport` — never in a
+#: socket worker, which has no use for the pipe transport
+_BUILTIN_TRANSPORTS = (
+    "repro.streaming.transport.pipe",
+    "repro.streaming.transport.tcp",
+)
+
+
+def _registry() -> dict[str, Any]:
+    for module in _BUILTIN_TRANSPORTS:
+        importlib.import_module(module)
+    return TRANSPORTS
 
 
 def register_transport(name: str):
@@ -200,7 +217,7 @@ def register_transport(name: str):
 
 
 def available_transports() -> tuple[str, ...]:
-    return tuple(sorted(TRANSPORTS))
+    return tuple(sorted(_registry()))
 
 
 def make_transport(
@@ -211,7 +228,7 @@ def make_transport(
     ``addresses`` is the optional per-worker address list; only
     address-capable transports (socket) accept one.
     """
-    factory = TRANSPORTS.get(name)
+    factory = _registry().get(name)
     if factory is None:
         raise TopologyError(
             f"unknown transport {name!r}; available: "

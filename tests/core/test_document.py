@@ -1,7 +1,11 @@
 """Unit tests for the schema-free document model."""
 
+from collections import OrderedDict
+from types import MappingProxyType
+
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.core.document import AVPair, Document, flatten_json
 from repro.exceptions import DocumentError, JoinConflictError
@@ -250,3 +254,132 @@ class TestNestingDepthCap:
             deep = {"n": deep}
         flat = flatten_json(deep)
         assert len(flat) == 1
+
+
+def _reference_flatten(node, prefix="", out=None, depth=0):
+    """The flattening with the ``typing.Mapping`` test first, kept as the
+    oracle for the dict-first dispatch of ``flatten_json``."""
+    from typing import Mapping
+
+    from repro.core.document import MAX_NESTING_DEPTH
+
+    out = {} if out is None else out
+    if depth > MAX_NESTING_DEPTH:
+        raise DocumentError(
+            f"nesting deeper than {MAX_NESTING_DEPTH} levels at {prefix!r}"
+        )
+    if isinstance(node, Mapping):
+        for key, value in node.items():
+            if not isinstance(key, str):
+                raise DocumentError(f"attribute names must be strings, got {key!r}")
+            _reference_flatten(
+                value, f"{prefix}.{key}" if prefix else key, out, depth + 1
+            )
+    elif isinstance(node, (list, tuple)):
+        for index, value in enumerate(node):
+            _reference_flatten(value, f"{prefix}[{index}]", out, depth + 1)
+    else:
+        if not isinstance(node, (str, int, float, bool)) and node is not None:
+            raise DocumentError(f"unsupported JSON value {node!r} at {prefix!r}")
+        if prefix in out:
+            raise DocumentError(f"duplicate attribute {prefix!r} after flattening")
+        out[prefix] = node
+    return out
+
+
+def _outcome(flatten, node):
+    try:
+        return flatten(node)
+    except DocumentError as exc:
+        return ("DocumentError", str(exc))
+
+
+_KEYS = st.sampled_from(["a", "b", "a.b", "b[0]", ""]) | st.just(1)
+_LEAVES = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats(allow_nan=False)
+    | st.text(max_size=3)
+    | st.just(frozenset({1}))
+    | st.just(b"x")
+)
+
+
+def _mapping_of(children):
+    return st.dictionaries(_KEYS, children, max_size=3).flatmap(
+        lambda d: st.sampled_from(
+            [d, OrderedDict(d), MappingProxyType(d)]
+        )
+    )
+
+
+_NODES = st.recursive(
+    _LEAVES,
+    lambda children: _mapping_of(children)
+    | st.lists(children, max_size=3)
+    | st.lists(children, max_size=3).map(tuple),
+    max_leaves=12,
+)
+
+
+class TestFlatteningTypeDispatch:
+    """Non-dict mappings, tuples and every error path behave as with the
+    Mapping-first dispatch the dict-first fast path replaced."""
+
+    def test_non_dict_mappings_flatten_like_dicts(self):
+        nested = {"o": {"s": "v", "n": [1, {"k": None}]}, "f": 1.5}
+        expected = flatten_json(nested)
+        for top in (OrderedDict(nested), MappingProxyType(nested)):
+            assert flatten_json(top) == expected
+        inner = {"o": MappingProxyType({"s": "v", "n": (1, OrderedDict(k=None))}),
+                 "f": 1.5}
+        assert flatten_json(inner) == expected
+
+    def test_tuples_flatten_like_lists(self):
+        assert flatten_json({"a": ("x", ("y",))}) == flatten_json(
+            {"a": ["x", ["y"]]}
+        ) == {"a[0]": "x", "a[1][0]": "y"}
+
+    def test_document_accepts_non_dict_mappings(self):
+        for pairs in (OrderedDict(a=1, b="x"), MappingProxyType({"a": 1, "b": "x"})):
+            doc = Document(pairs, doc_id=3)
+            assert doc.pairs == {"a": 1, "b": "x"}
+            assert type(doc.pairs) is dict
+        assert Document([("a", 1), ("b", "x")]) == Document({"a": 1, "b": "x"})
+
+    @pytest.mark.parametrize(
+        "node, match",
+        [
+            ({"a": {1: "x"}}, "attribute names must be strings"),
+            ({"a": MappingProxyType({2: "x"})}, "attribute names must be strings"),
+            ({"a.b": 1, "a": {"b": 2}}, "duplicate attribute 'a.b'"),
+            ({"a[0]": 1, "a": (2,)}, r"duplicate attribute 'a\[0\]'"),
+            ({"a": {1, 2}}, "unsupported JSON value"),
+            ({"a": b"raw"}, "unsupported JSON value"),
+            ({"a": [object]}, "unsupported JSON value"),
+        ],
+    )
+    def test_error_paths_unchanged(self, node, match):
+        with pytest.raises(DocumentError, match=match):
+            flatten_json(node)
+        assert _outcome(flatten_json, node) == _outcome(_reference_flatten, node)
+
+    def test_depth_cap_holds_through_every_container(self):
+        from repro.core.document import MAX_NESTING_DEPTH
+
+        for wrap in (
+            lambda inner: {"n": inner},
+            lambda inner: MappingProxyType({"n": inner}),
+            lambda inner: [inner],
+            lambda inner: (inner,),
+        ):
+            deep = 1
+            for _ in range(MAX_NESTING_DEPTH + 1):
+                deep = wrap(deep)
+            with pytest.raises(DocumentError, match="nesting deeper"):
+                flatten_json({"top": deep})
+
+    @given(_NODES)
+    def test_property_matches_mapping_first_reference(self, node):
+        assert _outcome(flatten_json, node) == _outcome(_reference_flatten, node)
